@@ -27,8 +27,9 @@ struct InvariantViolation {
 //   completeness       every crash is eventually suspected (missed == 0).
 //                      Holds because the injector's TTR exceeds any finite
 //                      detector timeout: silence eventually wins.
-//   crash-consistency  detections + missed ≤ crashes ≤ detections+missed+1
-//                      (the +1 is a crash still pending at run end), and
+//   crash-consistency  detections + missed ≤ crashes ≤ detections+missed+R
+//                      where R = runs × endpoints is the number of pooled
+//                      runs (each may end with a crash still pending), and
 //                      every detector observed the same crash count.
 //   td-nonnegative     all T_D samples ≥ 0 (min ≥ 0 when any recorded).
 //   tm-nonnegative     same for T_M.

@@ -175,7 +175,22 @@ TimePoint DetectorBank::earliest_expiry() const {
   return expiries_.empty() ? TimePoint::max() : expiries_.front().due;
 }
 
+DetectorBank::Expiry DetectorBank::pop_expiry() {
+  std::pop_heap(expiries_.begin(), expiries_.end(), ExpiryAfter{});
+  const Expiry e = expiries_.back();
+  expiries_.pop_back();
+  return e;
+}
+
 void DetectorBank::arm_timer() {
+  // A freshness point τ_i already covered by a received heartbeat
+  // (i ≤ max_seq_) can never raise a suspicion: max_seq_ only grows. Retire
+  // such entries from the front without an event or host check of their
+  // own, so the timer waits for the next point that still could.
+  while (!expiries_.empty() && expiries_.front().index <= max_seq_) {
+    pop_expiry();
+    ++counters_.coalesced_timers;
+  }
   if (expiries_.empty()) return;
   const TimePoint front = expiries_.front().due;
   if (host_ != nullptr) {
@@ -217,12 +232,11 @@ void DetectorBank::host_timer_check() {
 void DetectorBank::pop_due(TimePoint now) {
   bool first = true;
   while (!expiries_.empty() && expiries_.front().due <= now) {
-    std::pop_heap(expiries_.begin(), expiries_.end(), ExpiryAfter{});
-    const Expiry e = expiries_.back();
-    expiries_.pop_back();
+    const Expiry e = pop_expiry();
     if (!first) ++counters_.coalesced_timers;
     first = false;
-    freshness_reached(e.lane, e.index);
+    // A point covered since the timer was armed passes silently too.
+    if (e.index > max_seq_) freshness_reached(e.lane, e.index);
   }
 }
 

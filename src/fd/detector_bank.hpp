@@ -16,7 +16,12 @@
 //     pass per heartbeat;
 //   * freshness-point expiries feed one ordered timer queue per bank, with
 //     a single armed simulator event, instead of one event per detector —
-//     and one cycle-begin event per bank instead of one per detector.
+//     and one cycle-begin event per bank instead of one per detector;
+//   * a queued freshness point τ_i that a received heartbeat already
+//     covers (i ≤ max_seq) can never raise a suspicion, so it is retired
+//     without an event: the armed timer waits only for points that still
+//     could. On-time traffic costs about one timer event per cycle, and
+//     timer cost scales with possible suspicions, not with lanes.
 //
 // Semantics are *identical* to N independent FreshnessDetectors: lanes are
 // independent given the shared stream, and the shared predictor state is
@@ -56,9 +61,10 @@ class DetectorBank : public runtime::Layer {
   struct Counters {
     std::uint64_t predictor_updates = 0;  // observe() on shared predictors
     std::uint64_t lane_updates = 0;       // per-lane margin+suspicion passes
-    // Per-detector simulator events avoided by the shared cycle tick and
-    // the ordered expiry queue (legacy schedules one begin event and one
-    // freshness event per detector per cycle).
+    // Per-detector simulator events avoided by the shared cycle tick, the
+    // ordered expiry queue and the retirement of covered freshness points
+    // (legacy schedules one begin event and one freshness event per
+    // detector per cycle).
     std::uint64_t coalesced_timers = 0;
     std::uint64_t timer_events = 0;     // armed timer events actually fired
     std::uint64_t dispatch_errors = 0;  // lane updates/observers that threw
@@ -120,11 +126,14 @@ class DetectorBank : public runtime::Layer {
   void host_begin_cycle(std::int64_t k);
   // host_timer_check(): called whenever a deadline this member reported
   // comes due at the host. Pops and dispatches every due freshness point
-  // (if any — a stale entry is a no-op), then re-reports the new earliest
-  // deadline, so every consumed host-queue entry is replaced and no
-  // deadline is ever lost.
+  // (if any — a stale entry is a no-op), retires covered ones, then
+  // re-reports the earliest deadline that can still raise a suspicion, so
+  // every consumed host-queue entry is replaced and no such deadline is
+  // ever lost.
   void host_timer_check();
-  // Earliest pending freshness deadline; TimePoint::max() when idle.
+  // Earliest queued freshness deadline; TimePoint::max() when idle. The
+  // front may already be covered by a heartbeat that arrived since the
+  // queue was last serviced.
   TimePoint earliest_expiry() const;
   bool started() const { return started_; }
 
@@ -144,7 +153,12 @@ class DetectorBank : public runtime::Layer {
   // Per-lane state.
   const std::string& lane_name(std::size_t lane) const;
   bool lane_suspecting(std::size_t lane) const;
-  // Index i of the lane's current freshness window [τ_i, τ_{i+1}).
+  // Highest i whose freshness point τ_i has passed while no m_k with
+  // k ≥ i had been received. Points a heartbeat already covered are
+  // retired without advancing it, so while the lane trusts the value may
+  // lag the current window [τ_i, τ_{i+1}); the suspicion rule
+  // lane_suspecting(lane) ≡ max_seq() < lane_freshness_index(lane) holds
+  // either way.
   std::int64_t lane_freshness_index(std::size_t lane) const;
   // Current timeout δ = pred + sm of the lane, in milliseconds.
   double lane_delta_ms(std::size_t lane) const;
@@ -157,9 +171,12 @@ class DetectorBank : public runtime::Layer {
   const Counters& counters() const { return counters_; }
 
   // Deadline of the single armed freshness-timer event; TimePoint::max()
-  // while no timer is armed. The obs plane renders `deadline − now` as the
-  // freshness-timer lag gauge (how far away the next possible suspicion
-  // is), so a live scrape can see a detector coasting vs. about to fire.
+  // while no timer is armed. The timer is armed only at freshness points
+  // no received heartbeat covered yet, so the obs plane's freshness-timer
+  // lag gauge (`deadline − now`) shows how far away the next possible
+  // suspicion is, and a live scrape can see a detector coasting vs. about
+  // to fire. A heartbeat arriving after the timer was armed can cover that
+  // point too; the timer then fires without a suspicion and re-arms.
   // Hosted banks have no armed event of their own; their deadline is the
   // front of the expiry queue (the host fires at or before it).
   TimePoint next_timer_deadline() const {
@@ -183,6 +200,7 @@ class DetectorBank : public runtime::Layer {
 
   void begin_cycle(std::int64_t k);
   void push_expiry(TimePoint due, std::int64_t index, std::size_t lane);
+  Expiry pop_expiry();
   void arm_timer();
   void timer_fired();
   void pop_due(TimePoint now);
@@ -206,8 +224,9 @@ class DetectorBank : public runtime::Layer {
 
   // Coalesced freshness timers: one ordered queue (a binary min-heap over
   // a plain vector so capacity can be reserved up front — the fleet's
-  // allocation-free steady state), one armed sim event. The (due, seq)
-  // comparator totally orders entries, so heap pops are deterministic.
+  // allocation-free steady state), one armed sim event at the earliest
+  // entry not yet covered by a heartbeat. The (due, seq) comparator
+  // totally orders entries, so heap pops are deterministic.
   std::vector<Expiry> expiries_;
   std::uint64_t next_expiry_seq_ = 0;
   sim::EventHandle armed_;  // armed_.time() is the deadline; max() = idle

@@ -97,7 +97,10 @@ void FleetBank::member_deadline_changed(std::size_t member, TimePoint due) {
   due_heap_.push_back(
       MemberDue{due, next_due_seq_++, static_cast<std::uint32_t>(member)});
   std::push_heap(due_heap_.begin(), due_heap_.end(), MemberDueAfter{});
-  arm();
+  // Reports made while fired() drains the entries due now wait for its
+  // closing arm(): arming here would schedule a second event at this very
+  // instant for the entries still queued behind the one being serviced.
+  if (due_heap_.front().due > simulator_.now()) arm();
 }
 
 void FleetBank::arm() {

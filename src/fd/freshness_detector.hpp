@@ -57,7 +57,7 @@ class FreshnessDetector final : public DetectorBank {
 
   const std::string& name() const { return lane_name(0); }
   bool suspecting() const { return lane_suspecting(0); }
-  // Index i of the current freshness window [τ_i, τ_{i+1}).
+  // Highest i whose τ_i passed uncovered (see lane_freshness_index()).
   std::int64_t freshness_index() const { return lane_freshness_index(0); }
   // Current timeout δ = pred + sm, in milliseconds.
   double current_delta_ms() const { return lane_delta_ms(0); }

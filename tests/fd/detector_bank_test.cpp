@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -206,6 +207,157 @@ TEST(DetectorBankTest, LaneObserverExceptionIsIsolated) {
   EXPECT_TRUE(bank.lane_suspecting(2));
   EXPECT_EQ(notified, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(bank.counters().dispatch_errors, 1u);
+}
+
+// Heartbeat i leaves at σ_i = i·η and takes `base`, unless `late` names
+// its own delay — a per-heartbeat script for boundary tests.
+class ScriptedDelay final : public wan::DelayModel {
+ public:
+  ScriptedDelay(Duration eta, Duration base,
+                std::map<std::int64_t, Duration> late)
+      : eta_(eta), base_(base), late_(std::move(late)) {}
+
+  Duration sample(Rng&, TimePoint send_time) override {
+    const auto it = late_.find(send_time.count_nanos() / eta_.count_nanos());
+    return it == late_.end() ? base_ : it->second;
+  }
+  const std::string& name() const override { return name_; }
+  std::unique_ptr<wan::DelayModel> make_fresh() const override {
+    return std::make_unique<ScriptedDelay>(*this);
+  }
+
+ private:
+  Duration eta_;
+  Duration base_;
+  std::map<std::int64_t, Duration> late_;
+  std::string name_ = "scripted";
+};
+
+struct NsTransition {
+  std::size_t lane;
+  std::int64_t t_ns;
+  bool suspect;
+
+  bool operator==(const NsTransition&) const = default;
+};
+
+constexpr std::int64_t kSecondNs = 1'000'000'000;
+constexpr std::int64_t kMilliNs = 1'000'000;
+
+// A LAST-predictor bank whose lane l has the constant margin margins_ms[l],
+// fed through a real sender and link: once warm, lane l's freshness point
+// for heartbeat i is exactly τ_i = σ_i + 100 ms + margins_ms[l] while the
+// link delivers in 100 ms.
+struct LadderHarness {
+  static constexpr Duration kBase = Duration::millis(100);
+
+  sim::Simulator simulator;
+  net::SimTransport transport{simulator, Rng(1)};
+  runtime::ProcessNode sender{transport, 0};
+  runtime::ProcessNode monitor{transport, 1};
+  DetectorBank* bank = nullptr;
+  std::vector<NsTransition> transitions;
+
+  LadderHarness(const std::vector<double>& margins_ms,
+                std::map<std::int64_t, Duration> late = {},
+                std::int64_t max_cycles = 0) {
+    net::SimTransport::LinkConfig link;
+    link.delay = std::make_unique<ScriptedDelay>(Duration::seconds(1), kBase,
+                                                 std::move(late));
+    transport.set_link(0, 1, std::move(link));
+    runtime::HeartbeaterLayer::Config hb;
+    hb.eta = Duration::seconds(1);
+    hb.max_cycles = max_cycles;
+    sender.push(std::make_unique<runtime::HeartbeaterLayer>(simulator, hb));
+
+    DetectorBank::Config config;
+    config.eta = Duration::seconds(1);
+    config.monitored = 0;
+    auto owned = std::make_unique<DetectorBank>(simulator, config);
+    const std::size_t g =
+        owned->add_group(std::make_unique<forecast::LastPredictor>());
+    for (const double m : margins_ms) {
+      owned->add_lane("", g, std::make_unique<ConstantSafetyMargin>(m));
+    }
+    owned->set_observer([this](std::size_t lane, TimePoint t, bool s) {
+      transitions.push_back({lane, t.count_nanos(), s});
+    });
+    bank = owned.get();
+    monitor.push(std::move(owned));
+    sender.start();
+    monitor.start();
+  }
+
+  void run_until_ns(std::int64_t t_ns) {
+    simulator.run_until(TimePoint::from_nanos(t_ns));
+  }
+};
+
+// A freshness point that a received heartbeat already covers cannot raise
+// a suspicion, so it costs no timer event of its own: a 30-lane bank fed
+// on time fires about one timer per cycle, not one per lane per cycle.
+TEST(DetectorBankTest, OnTimeHeartbeatsFireAtMostOneTimerPerCycle) {
+  constexpr std::int64_t kCycles = 200;
+  std::vector<double> margins_ms;
+  for (int l = 1; l <= 30; ++l) margins_ms.push_back(l);  // 30 distinct τ
+  LadderHarness h(margins_ms);
+  h.run_until_ns(kCycles * kSecondNs + 500 * kMilliNs);
+
+  EXPECT_TRUE(h.transitions.empty());
+  EXPECT_EQ(h.bank->max_seq(), kCycles);
+  EXPECT_LE(h.bank->counters().timer_events,
+            static_cast<std::uint64_t>(kCycles + 1));
+}
+
+// A heartbeat that lands exactly on a lane's freshness point is fresh for
+// that lane; lanes whose τ it missed suspect one tick after their own τ.
+TEST(DetectorBankTest, ArrivalExactlyAtFreshnessPointStaysTrusted) {
+  LadderHarness h({0.0, 10.0, 20.0}, {{10, Duration::millis(120)}});
+  h.run_until_ns(30 * kSecondNs);
+
+  const std::int64_t s10 = 10 * kSecondNs;
+  const std::vector<NsTransition> expected = {
+      {0, s10 + 100 * kMilliNs + 1, true},
+      {1, s10 + 110 * kMilliNs + 1, true},
+      {0, s10 + 120 * kMilliNs, false},
+      {1, s10 + 120 * kMilliNs, false},
+  };
+  EXPECT_EQ(h.transitions, expected);
+  EXPECT_FALSE(h.bank->lane_suspecting(2));
+}
+
+// One nanosecond late ties the arrival with lane 2's check instant; the
+// arrival was scheduled at its send time, before the check was armed, so
+// it is processed first and lane 2 never suspects. This is the sequence a
+// bank with one timer event per freshness point produces; retiring
+// covered points must not change which side of the tie runs first.
+TEST(DetectorBankTest, ArrivalOneNanosecondLateKeepsItsTieOrder) {
+  LadderHarness h({0.0, 10.0, 20.0},
+                  {{10, Duration::millis(120) + Duration::nanos(1)}});
+  h.run_until_ns(30 * kSecondNs);
+
+  const std::int64_t s10 = 10 * kSecondNs;
+  const std::vector<NsTransition> expected = {
+      {0, s10 + 100 * kMilliNs + 1, true},
+      {1, s10 + 110 * kMilliNs + 1, true},
+      {0, s10 + 120 * kMilliNs + 1, false},
+      {1, s10 + 120 * kMilliNs + 1, false},
+  };
+  EXPECT_EQ(h.transitions, expected);
+}
+
+// When heartbeats stop, every lane suspects at exactly its own τ + 1 ns.
+TEST(DetectorBankTest, GapSuspectsEveryLaneAtItsFreshnessPoint) {
+  LadderHarness h({0.0, 10.0, 20.0}, {}, /*max_cycles=*/10);
+  h.run_until_ns(30 * kSecondNs);
+
+  const std::int64_t s11 = 11 * kSecondNs;
+  const std::vector<NsTransition> expected = {
+      {0, s11 + 100 * kMilliNs + 1, true},
+      {1, s11 + 110 * kMilliNs + 1, true},
+      {2, s11 + 120 * kMilliNs + 1, true},
+  };
+  EXPECT_EQ(h.transitions, expected);
 }
 
 TEST(DetectorBankTest, DefaultLaneNameComesFromComponents) {

@@ -17,6 +17,8 @@
 
 #include "exp/qos_experiment.hpp"
 #include "exp/report.hpp"
+#include "fd/fleet_bank.hpp"
+#include "forecast/basic_predictors.hpp"
 
 namespace fdqos::exp {
 namespace {
@@ -245,3 +247,46 @@ TEST(FleetSeedTest, EndpointZeroKeepsTheExperimentSeed) {
 
 }  // namespace
 }  // namespace fdqos::exp
+
+namespace fdqos::fd {
+namespace {
+
+// Hosted mode follows the bank's own timer rule: a member reports only
+// freshness points that could still raise a suspicion, so an on-time fleet
+// costs the shard about one member check per member per cycle — not one
+// per lane per cycle.
+TEST(FleetHostedTimerTest, OnTimeMembersCostAboutOneCheckPerCycle) {
+  constexpr std::size_t kMembers = 8;
+  constexpr std::int64_t kCycles = 100;
+  const Duration eta = Duration::seconds(1);
+  sim::Simulator simulator;
+  FleetBank fleet(simulator, {.eta = eta, .expected_endpoints = kMembers});
+  for (std::size_t e = 0; e < kMembers; ++e) {
+    DetectorBank& member = fleet.add_member(static_cast<net::NodeId>(e));
+    const std::size_t g =
+        member.add_group(std::make_unique<forecast::LastPredictor>());
+    for (int l = 1; l <= 30; ++l) {  // 30 distinct freshness points
+      member.add_lane("", g, std::make_unique<ConstantSafetyMargin>(l));
+    }
+  }
+  for (std::int64_t i = 1; i <= kCycles; ++i) {
+    simulator.schedule_at(
+        TimePoint::origin() + eta * i + Duration::millis(100), [&fleet, i] {
+          for (std::size_t e = 0; e < kMembers; ++e) fleet.ingest(e, i);
+        });
+  }
+  fleet.start();
+  simulator.run_until(TimePoint::origin() + eta * kCycles +
+                      Duration::millis(500));
+
+  EXPECT_EQ(fleet.suspecting_count(), 0u);
+  const auto bound = static_cast<std::uint64_t>(kCycles + 1);
+  EXPECT_LE(fleet.counters().member_checks, kMembers * bound);
+  EXPECT_LE(fleet.counters().timer_events, bound);
+  for (std::size_t e = 0; e < kMembers; ++e) {
+    EXPECT_LE(fleet.member(e).counters().timer_events, bound) << e;
+  }
+}
+
+}  // namespace
+}  // namespace fdqos::fd

@@ -88,6 +88,52 @@ TEST(ChaosInvariantsTest, NominalRunAlsoUpholdsInvariants) {
   }
 }
 
+// A hand-built pooled report: one detector that observed `crashes` and
+// detected `detected` of them, over `runs` runs of `endpoints` endpoints.
+QosReport pooled_report(std::size_t runs, std::size_t endpoints,
+                        std::uint64_t crashes, std::uint64_t detected) {
+  QosReport report;
+  report.config.runs = runs;
+  report.config.endpoints = endpoints;
+  FdQosResult result;
+  result.name = "Last+CI_low";
+  result.metrics.crashes_observed = crashes;
+  result.metrics.detections = detected;
+  report.results.push_back(result);
+  return report;
+}
+
+std::size_t crash_consistency_violations(const QosReport& report) {
+  std::size_t n = 0;
+  for (const auto& v : qos_invariant_violations(report)) {
+    n += v.invariant == "crash-consistency" ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(ChaosInvariantsTest, CrashConsistencyAllowsOnePendingCrashPerPooledRun) {
+  // Two runs: each may end with its last crash undetected, a third may not.
+  EXPECT_EQ(crash_consistency_violations(pooled_report(2, 1, 12, 10)), 0u);
+  EXPECT_EQ(crash_consistency_violations(pooled_report(2, 1, 13, 10)), 1u);
+  // Fleet reports pool (run, endpoint) pairs.
+  EXPECT_EQ(crash_consistency_violations(pooled_report(1, 2, 12, 10)), 0u);
+  EXPECT_EQ(crash_consistency_violations(pooled_report(1, 2, 13, 10)), 1u);
+  // Detections never outnumber crashes.
+  EXPECT_EQ(crash_consistency_violations(pooled_report(2, 1, 9, 10)), 1u);
+}
+
+TEST(ChaosInvariantsTest, PaperExperimentUpholdsInvariants) {
+  // The default 13-run experiment at seed 42 ends two runs with a crash
+  // still pending (393 crashes, 391 detections per detector).
+  QosExperimentConfig config;
+  config.seed = 42;
+  config.jobs = 4;
+  const QosReport report = run_qos_experiment(config);
+  for (const auto& v : qos_invariant_violations(report)) {
+    ADD_FAILURE() << "invariant [" << v.invariant << "]: " << v.detail;
+  }
+}
+
 TEST(ChaosInvariantsTest, ChaosReportIsByteIdenticalAcrossJobs) {
   // The acceptance bar: jobs=1 (exact serial path) and jobs=8 produce the
   // same report bytes with every fault type active (kitchen_sink), because

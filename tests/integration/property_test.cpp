@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -34,9 +35,12 @@ struct PropertyParam {
   const char* margin;
 };
 
+// Labels are std::string, not const char*: gtest prints a char pointer's
+// address, which ASLR changes on every run, and CTest names the test cases
+// after the printed parameter values.
 class DetectorPropertyTest
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, const char*,
-                                                 const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string,
+                                                 std::string>> {};
 
 TEST_P(DetectorPropertyTest, InvariantsHoldUnderRandomWorkload) {
   const auto [seed, pred_label, margin_label] = GetParam();
@@ -132,8 +136,9 @@ TEST_P(DetectorPropertyTest, InvariantsHoldUnderRandomWorkload) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsTimesConfigs, DetectorPropertyTest,
     ::testing::Combine(::testing::Values<std::uint64_t>(11, 23, 47),
-                       ::testing::Values("Last", "Arima", "WinMean"),
-                       ::testing::Values("CI_low", "JAC_high")));
+                       ::testing::Values<std::string>("Last", "Arima",
+                                                      "WinMean"),
+                       ::testing::Values<std::string>("CI_low", "JAC_high")));
 
 // Pull-style detector under the same randomized workload: the analogous
 // invariants hold (trust condition on pongs, alternation, crash coverage).

@@ -8,18 +8,23 @@
 // bank's shared-predictor evaluation cuts predictor observe() calls by at
 // least 3x, and writes BENCH_detector_bank.json:
 //
-//   [{"bench": "detector_bank", "width": 30, "runs": 2, "cycles": 400,
+//   [{"bench": "detector_bank", "machine": "...", "hw_jobs": 4,
+//     "commit": "...", "width": 30, "runs": 2, "cycles": 400,
 //     "legacy_wall_s": ..., "bank_wall_s": ..., "speedup": ...,
 //     "legacy_predictor_updates": ..., "bank_predictor_updates": ...,
-//     "update_reduction": ..., "bank_coalesced_timers": ...}, ...]
+//     "update_reduction": ..., "bank_coalesced_timers": ...,
+//     "bank_timer_events": ...}, ...]
 //
-// Scale knobs (reduced sweeps for CI):
+// Scale knobs (reduced sweeps for CI) and the provenance stamp:
 //   bench_detector_bank [--runs N] [--cycles N] [--widths W1,W2,...]
 //                       [--jobs N] [--seed S] [--out FILE]
+//                       [--commit $(git rev-parse --short=12 HEAD)]
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/args.hpp"
@@ -71,6 +76,29 @@ std::vector<std::size_t> parse_widths(const std::string& csv) {
   return widths;
 }
 
+// Blanks the characters that would end or escape a JSON string.
+std::string json_safe(std::string s) {
+  for (char& c : s) {
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) c = ' ';
+  }
+  return s;
+}
+
+// CPU model from /proc/cpuinfo ("unknown" where there is none).
+std::string machine() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    if (start == std::string::npos) break;
+    return json_safe(line.substr(start));
+  }
+  return "unknown";
+}
+
 struct Entry {
   std::size_t width;
   double legacy_wall_s;
@@ -78,6 +106,7 @@ struct Entry {
   std::uint64_t legacy_updates;
   std::uint64_t bank_updates;
   std::uint64_t bank_coalesced;
+  std::uint64_t bank_timer_events;
 };
 
 }  // namespace
@@ -92,6 +121,10 @@ int main(int argc, char** argv) {
       parse_widths(args.get_string("--widths", "30,300,3000"));
   const std::string out_path =
       args.get_string("--out", "BENCH_detector_bank.json");
+  const std::string commit =
+      json_safe(args.get_string("--commit", "unknown")).substr(0, 64);
+  const std::string cpu = machine();
+  const unsigned hw_jobs = std::thread::hardware_concurrency();
 
   std::vector<Entry> entries;
   bool ok = true;
@@ -123,6 +156,7 @@ int main(int argc, char** argv) {
         wall_seconds([&] { bank_report = exp::run_qos_experiment(config); });
     entry.bank_updates = bank_report.bank.predictor_updates;
     entry.bank_coalesced = bank_report.bank.coalesced_timers;
+    entry.bank_timer_events = bank_report.bank.timer_events;
 
     if (exp::qos_report_fingerprint(legacy_report) !=
         exp::qos_report_fingerprint(bank_report)) {
@@ -158,21 +192,25 @@ int main(int argc, char** argv) {
   std::string json = "[\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
-    char line[320];
+    char line[640];
     std::snprintf(
         line, sizeof line,
-        "  {\"bench\": \"detector_bank\", \"width\": %zu, \"runs\": %zu, "
+        "  {\"bench\": \"detector_bank\", \"machine\": \"%s\", "
+        "\"hw_jobs\": %u, \"commit\": \"%s\", \"width\": %zu, "
+        "\"runs\": %zu, "
         "\"cycles\": %lld, \"legacy_wall_s\": %.3f, \"bank_wall_s\": %.3f, "
         "\"speedup\": %.2f, \"legacy_predictor_updates\": %llu, "
         "\"bank_predictor_updates\": %llu, \"update_reduction\": %.2f, "
-        "\"bank_coalesced_timers\": %llu}%s\n",
-        e.width, runs, static_cast<long long>(cycles), e.legacy_wall_s,
+        "\"bank_coalesced_timers\": %llu, \"bank_timer_events\": %llu}%s\n",
+        cpu.c_str(), hw_jobs, commit.c_str(), e.width, runs,
+        static_cast<long long>(cycles), e.legacy_wall_s,
         e.bank_wall_s, e.legacy_wall_s / e.bank_wall_s,
         static_cast<unsigned long long>(e.legacy_updates),
         static_cast<unsigned long long>(e.bank_updates),
         static_cast<double>(e.legacy_updates) /
             static_cast<double>(e.bank_updates),
         static_cast<unsigned long long>(e.bank_coalesced),
+        static_cast<unsigned long long>(e.bank_timer_events),
         i + 1 < entries.size() ? "," : "");
     json += line;
   }

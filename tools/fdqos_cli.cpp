@@ -56,7 +56,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: fdqos "
                "<qos|chaos|workload|accuracy|link|order-select|record|replay|"
-               "serve|trace> [flags]\n"
+               "serve> [flags]\n"
                "  qos          reproduce the Figures 4-8 experiment\n"
                "               (--trace FILE runs it on a recorded trace,\n"
                "               --policy truncate|wrap|extend at trace end)\n"
@@ -82,7 +82,6 @@ int usage() {
                "               --no-capture, --duration-s S, --batch N;\n"
                "               SIGINT/SIGTERM shut down cleanly; see\n"
                "               docs/serve.md)\n"
-               "  trace        deprecated alias for `record` (CSV output)\n"
                "qos/accuracy also take --metrics-out FILE (Prometheus text),\n"
                "--metrics-jsonl-out FILE, --trace-out FILE (chrome://tracing)\n"
                "and --progress SECONDS (periodic telemetry on stderr)\n"
@@ -613,11 +612,11 @@ int cmd_workload(const ArgParser& args) {
 // replayable artifact. --runs R records R shards (one per forked run
 // stream) merged in run order. A trace captured from a real link (e.g. by
 // wiring wan::RecordingDelay into a UDP deployment) drops in identically.
-int record_impl(const ArgParser& args, const std::string& default_out) {
+int cmd_record(const ArgParser& args) {
   const auto n = args.get_int("--n", 100000);
   const auto runs = args.get_int("--runs", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  const std::string out = args.get_string("--out", default_out);
+  const std::string out = args.get_string("--out", "trace.fdt");
   const auto eta_ms = args.get_int("--eta-ms", 1000);
   const std::string scenario = args.get_string("--scenario", "");
   const auto fault_start_s = args.get_int("--fault-start-s", 0);
@@ -736,8 +735,6 @@ int record_impl(const ArgParser& args, const std::string& default_out) {
   return 0;
 }
 
-int cmd_record(const ArgParser& args) { return record_impl(args, "trace.fdt"); }
-
 // `serve` — the live heavy-traffic UDP ingest daemon (serve/daemon.hpp,
 // docs/serve.md). The signal path is the one place a handler touches the
 // process: a file-scope pointer set strictly before handlers install,
@@ -834,13 +831,6 @@ int cmd_serve(const ArgParser& args) {
   return rc;
 }
 
-int cmd_trace(const ArgParser& args) {
-  std::fprintf(stderr,
-               "fdqos trace: deprecated alias for `fdqos record` "
-               "(CSV output; use record for the .fdt binary format)\n");
-  return record_impl(args, "trace.csv");
-}
-
 int cmd_accuracy(const ArgParser& args) {
   exp::AccuracyExperimentConfig config;
   config.n_oneway = static_cast<std::size_t>(args.get_int("--n", 100000));
@@ -919,7 +909,6 @@ int main(int argc, char** argv) {
   if (command == "record") return cmd_record(args);
   if (command == "replay") return cmd_replay(args);
   if (command == "serve") return cmd_serve(args);
-  if (command == "trace") return cmd_trace(args);
   std::fprintf(stderr, "fdqos: unknown command '%s'\n", command.c_str());
   return usage();
 }
